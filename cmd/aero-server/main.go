@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	aero-server [-addr 127.0.0.1:7523] [-state aero-state.json]
+//	aero-server [-addr 127.0.0.1:7523]
 //	            [-data-dir DIR] [-fsync always|interval|never]
 //	            [-auth tokens.json] [-quota 50 -quota-burst 10]
 //
@@ -14,13 +14,11 @@
 // -quota adds per-tenant token-bucket admission on the mutation routes
 // (429 + Retry-After on pushback).
 //
-// When -state is given, the store is loaded from the file at startup (if it
-// exists) and persisted on every mutation-free interval and at shutdown.
-//
-// -data-dir enables crash-safe write-ahead logging instead: every mutation
-// is persisted before it is applied, restarts replay the log (tolerating a
-// torn tail), and POST /admin/compact (`ospreyctl compact`) snapshots the
-// store and truncates the log. -state and -data-dir are mutually exclusive.
+// -data-dir makes the store durable through a write-ahead log: every
+// mutation is persisted before it is applied, restarts replay the log
+// (tolerating a torn tail), and POST /admin/compact (`ospreyctl compact`)
+// snapshots the store and truncates the log. Without it the store lives in
+// memory only.
 package main
 
 import (
@@ -75,7 +73,6 @@ func main() {
 	log.SetPrefix("aero-server: ")
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7523", "listen address")
-		state      = flag.String("state", "", "optional JSON state file for persistence")
 		dataDir    = flag.String("data-dir", "", "enable WAL persistence under this directory")
 		fsyncMode  = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
 		authFile   = flag.String("auth", "", `enable multi-tenant bearer auth: JSON token file like [{"token":"t-1","tenant":"alice"}]`)
@@ -83,9 +80,6 @@ func main() {
 		quotaBurst = flag.Float64("quota-burst", 10, "per-tenant quota token-bucket burst")
 	)
 	flag.Parse()
-	if *state != "" && *dataDir != "" {
-		log.Fatal("-state and -data-dir are mutually exclusive")
-	}
 
 	var store *aero.Store
 	var walLog *wal.Log
@@ -107,36 +101,6 @@ func main() {
 		log.Printf("recovered %d data records from %s in %s", len(data), *dataDir, time.Since(start).Round(time.Millisecond))
 	} else {
 		store = aero.NewStore()
-	}
-	if *state != "" {
-		if f, err := os.Open(*state); err == nil {
-			if err := store.Load(f); err != nil {
-				log.Fatalf("loading state: %v", err)
-			}
-			f.Close()
-			log.Printf("loaded state from %s", *state)
-		}
-	}
-
-	save := func() {
-		if *state == "" {
-			return
-		}
-		tmp := *state + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			log.Printf("save: %v", err)
-			return
-		}
-		if err := store.Save(f); err != nil {
-			log.Printf("save: %v", err)
-			f.Close()
-			return
-		}
-		f.Close()
-		if err := os.Rename(tmp, *state); err != nil {
-			log.Printf("save: %v", err)
-		}
 	}
 
 	handler := aero.NewServer(store)
@@ -169,19 +133,10 @@ func main() {
 		}
 	}()
 
-	if *state != "" {
-		go func() {
-			for range time.Tick(30 * time.Second) {
-				save()
-			}
-		}()
-	}
-
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
 	<-stop
 	log.Print("shutting down")
-	save()
 	if walLog != nil {
 		if err := store.Compact(); err != nil {
 			log.Printf("compact: %v", err)

@@ -111,12 +111,8 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	s.CreateFlow(FlowRecord{Name: "f", Kind: AnalysisKind, InputUUIDs: []string{rec.UUID}})
 	s.AddProvenance(ProvenanceEdge{FlowID: "f", InputUUID: rec.UUID, OutputUUID: "other"})
 
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	s2 := NewStore()
-	if err := s2.Load(&buf); err != nil {
+	if err := s2.loadSnapshot([]byte(saveJSON(t, s))); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s2.GetData(rec.UUID)

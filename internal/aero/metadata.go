@@ -10,10 +10,8 @@
 package aero
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -250,42 +248,6 @@ func (s *Store) snapshotLocked() storeSnapshot {
 	sort.Slice(snap.Data, func(i, j int) bool { return snap.Data[i].UUID < snap.Data[j].UUID })
 	sort.Slice(snap.Flows, func(i, j int) bool { return snap.Flows[i].ID < snap.Flows[j].ID })
 	return snap
-}
-
-// Save serializes the store as JSON.
-func (s *Store) Save(w io.Writer) error {
-	s.mu.RLock()
-	snap := s.snapshotLocked()
-	s.mu.RUnlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
-}
-
-// Load replaces the store contents from a JSON snapshot.
-func (s *Store) Load(r io.Reader) error {
-	var snap storeSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("aero: load: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.next = snap.Next
-	s.nextT = map[string]int{}
-	for t, n := range snap.NextT {
-		s.nextT[t] = n
-	}
-	s.data = map[string]*DataRecord{}
-	for _, d := range snap.Data {
-		s.data[d.UUID] = cloneData(d)
-	}
-	s.flows = map[string]*FlowRecord{}
-	for _, f := range snap.Flows {
-		cp := *f
-		s.flows[f.ID] = &cp
-	}
-	s.prov = append([]ProvenanceEdge(nil), snap.Prov...)
-	return nil
 }
 
 func cloneData(d *DataRecord) *DataRecord {

@@ -3,6 +3,7 @@ package aero
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -26,14 +27,17 @@ func openStoreAt(t *testing.T, dir string) *Store {
 	return s
 }
 
-// saveJSON snapshots a store through its public Save for comparison.
+// saveJSON encodes a store's full state, in the snapshot form Compact
+// writes, for comparison.
 func saveJSON(t *testing.T, s *Store) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	s.mu.RLock()
+	b, err := json.Marshal(s.snapshotLocked())
+	s.mu.RUnlock()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.String()
+	return string(b)
 }
 
 // populate drives every mutation kind through the store.

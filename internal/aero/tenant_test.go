@@ -1,7 +1,6 @@
 package aero
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -156,15 +155,12 @@ func TestTenantWALRecovery(t *testing.T) {
 func TestTenantSnapshotRoundTrip(t *testing.T) {
 	store := NewStore()
 	ad, _ := store.Tenant("alice").CreateData("a", "")
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "next_tenants") {
+	snap := saveJSON(t, store)
+	if !strings.Contains(snap, "next_tenants") {
 		t.Fatal("tenant counters missing from snapshot")
 	}
 	re := NewStore()
-	if err := re.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := re.loadSnapshot([]byte(snap)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := re.Tenant("alice").GetData(ad.UUID); err != nil {
@@ -181,11 +177,7 @@ func TestLegacySnapshotUnchanged(t *testing.T) {
 	// tenancy existed: no next_tenants key, unprefixed IDs.
 	store := NewStore()
 	d, _ := store.CreateData("legacy", "")
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "next_tenants") {
+	if strings.Contains(saveJSON(t, store), "next_tenants") {
 		t.Fatal("legacy snapshot grew a next_tenants key")
 	}
 	if d.UUID != "data-00000001" {

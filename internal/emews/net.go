@@ -2,37 +2,31 @@
 // separation of ME algorithm processes from worker pools running on other
 // resources.
 //
-// Two framings share one dispatch layer:
+// Every connection speaks wire protocol v2: length-prefixed binary frames
+// with request ids, so a connection can pipeline many ops and the server
+// answers out of order. See wirev2.go for the frame layout and the
+// connect-time handshake; netv2.go holds the server reader/dispatcher/
+// writer split and the client session demux.
 //
-//   - v2 (default): length-prefixed binary frames with request ids, so a
-//     connection can pipeline many ops and the server answers out of
-//     order. See wirev2.go for the frame layout and the connect-time
-//     negotiation; netv2.go holds the server reader/dispatcher/writer
-//     split and the client session demux.
-//   - v1 (legacy): newline-delimited JSON request/response, one op in
-//     flight per connection. New servers detect a JSON client by its
-//     first byte and fall back; new clients detect a JSON-only server by
-//     its handshake reply and fall back. Old and new deployments mix
-//     freely.
+// Request ops and their fields (wireRequest/wireResponse field names; the
+// codec carries them positionally):
 //
-// Request ops and their fields (JSON names; the binary codec carries the
-// same fields positionally):
-//
-//	submit       {op, type, priority, payload[, max_attempts]}   -> {ok, task_id}
-//	pop          {op, type, timeout_ms}                          -> {ok, task_id, epoch, payload} | {ok, empty:true}
-//	complete     {op, task_id, epoch, result}                    -> {ok} | {error, stale?}
-//	fail         {op, task_id, epoch, err_msg}                   -> {ok} | {error, stale?}
-//	result       {op, task_id}                                   -> {ok, done, failed?, result|error}
-//	stats        {op}                                            -> {ok, stats}
-//	submit_batch {op, type, priority, payloads[, max_attempts]}  -> {ok, task_ids}
-//	pop_batch    {op, type, max, timeout_ms}                     -> {ok, tasks} | {ok, empty:true}
-//	finish_batch {op, finishes:[{task_id, epoch, failed, ...}]}  -> {ok, results:[{ok, stale?, error?}]}
+//	submit       {Op, Type, Priority, Payload[, MaxAttempts]}   -> {OK, TaskID}
+//	pop          {Op, Type, TimeoutMS}                          -> {OK, TaskID, Epoch, Payload} | {OK, Empty}
+//	complete     {Op, TaskID, Epoch, Result}                    -> {OK} | {Error, Stale?}
+//	fail         {Op, TaskID, Epoch, ErrMsg}                    -> {OK} | {Error, Stale?}
+//	result       {Op, TaskID}                                   -> {OK, Done, Failed?, Result|Error}
+//	stats        {Op}                                           -> {OK, Stats}
+//	submit_batch {Op, Type, Priority, Payloads[, MaxAttempts]}  -> {OK, TaskIDs}
+//	pop_batch    {Op, Type, Max, TimeoutMS}                     -> {OK, Tasks} | {OK, Empty}
+//	finish_batch {Op, Finishes:[{TaskID, Epoch, Failed, ...}]}  -> {OK, Results:[{OK, Stale?, Error?}]}
+//	wal_fetch    {Op, Seg, Off}                                 -> {OK, Seg, Off, Data, Snapshot?}
 //
 // Claim fencing: every pop response carries the attempt epoch assigned by
 // the database. complete/fail must echo it back; a resolution whose epoch
 // no longer matches the task's current attempt (the lease expired and the
-// task was requeued/re-popped) is rejected with stale=true in the
-// response. epoch 0 on complete/fail is accepted for legacy clients and
+// task was requeued/re-popped) is rejected with Stale set in the
+// response. epoch 0 on complete/fail is accepted for unfenced callers and
 // falls back to the unfenced status-only check. Fenced complete/fail are
 // idempotent per attempt: re-sending the same resolution (e.g. after a
 // lost response) succeeds without effect.
@@ -49,7 +43,6 @@ package emews
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -60,87 +53,87 @@ import (
 )
 
 type wireRequest struct {
-	Op        string `json:"op"`
-	Type      string `json:"type,omitempty"`
-	Priority  int    `json:"priority,omitempty"`
-	Payload   string `json:"payload,omitempty"`
-	TaskID    int64  `json:"task_id,omitempty"`
-	Epoch     int64  `json:"epoch,omitempty"`
-	Result    string `json:"result,omitempty"`
-	ErrMsg    string `json:"err_msg,omitempty"`
-	TimeoutMS int    `json:"timeout_ms,omitempty"`
+	Op        string
+	Type      string
+	Priority  int
+	Payload   string
+	TaskID    int64
+	Epoch     int64
+	Result    string
+	ErrMsg    string
+	TimeoutMS int
 	// MaxAttempts > 0 on submit/submit_batch enables automatic
 	// requeue-on-failure up to that many attempts (DB.SubmitRetry
 	// semantics); 0 keeps the single-attempt default.
-	MaxAttempts int `json:"max_attempts,omitempty"`
+	MaxAttempts int
 	// Max bounds how many tasks one pop_batch may lease.
-	Max      int          `json:"max,omitempty"`
-	Payloads []string     `json:"payloads,omitempty"` // submit_batch
-	Finishes []wireFinish `json:"finishes,omitempty"` // finish_batch
+	Max      int
+	Payloads []string     // submit_batch
+	Finishes []wireFinish // finish_batch
 	// Key is the shard-routing key of a submit. A server with a shard
 	// identity verifies it against its own ring and answers a wrong_shard
 	// redirect when the key belongs elsewhere; an empty key skips the
-	// check (unsharded and legacy clients).
-	Key string `json:"key,omitempty"`
+	// check (unsharded clients).
+	Key string
 	// Seg/Off are the WAL shipping cursor of a wal_fetch (replication).
 	// Seg 0 requests the bootstrap state (snapshot + starting cursor).
-	Seg int   `json:"seg,omitempty"`
-	Off int64 `json:"off,omitempty"`
+	Seg int
+	Off int64
 }
 
 // wireFinish is one resolution inside a finish_batch.
 type wireFinish struct {
-	TaskID int64  `json:"task_id"`
-	Epoch  int64  `json:"epoch,omitempty"`
-	Failed bool   `json:"failed,omitempty"`
-	Result string `json:"result,omitempty"`
-	ErrMsg string `json:"err_msg,omitempty"`
+	TaskID int64
+	Epoch  int64
+	Failed bool
+	Result string
+	ErrMsg string
 }
 
 // wireTask is one claim inside a pop_batch response.
 type wireTask struct {
-	ID      int64  `json:"id"`
-	Epoch   int64  `json:"epoch"`
-	Payload string `json:"payload,omitempty"`
+	ID      int64
+	Epoch   int64
+	Payload string
 }
 
 // wireResult is one per-op outcome inside a finish_batch response.
 type wireResult struct {
-	OK    bool   `json:"ok"`
-	Stale bool   `json:"stale,omitempty"`
-	Error string `json:"error,omitempty"`
+	OK    bool
+	Stale bool
+	Error string
 }
 
 type wireResponse struct {
-	OK      bool   `json:"ok"`
-	Error   string `json:"error,omitempty"`
-	Stale   bool   `json:"stale,omitempty"` // Error is a stale-claim rejection
-	TaskID  int64  `json:"task_id,omitempty"`
-	Epoch   int64  `json:"epoch,omitempty"`
-	Payload string `json:"payload,omitempty"`
-	Result  string `json:"result,omitempty"`
-	Done    bool   `json:"done,omitempty"`
+	OK      bool
+	Error   string
+	Stale   bool // Error is a stale-claim rejection
+	TaskID  int64
+	Epoch   int64
+	Payload string
+	Result  string
+	Done    bool
 	// Failed marks a result response for a task that terminated
 	// unsuccessfully. Clients must key on this, not on Error being
 	// non-empty: a task can fail with an empty message.
-	Failed  bool         `json:"failed,omitempty"`
-	Empty   bool         `json:"empty,omitempty"`
-	Tasks   []wireTask   `json:"tasks,omitempty"`    // pop_batch
-	TaskIDs []int64      `json:"task_ids,omitempty"` // submit_batch
-	Results []wireResult `json:"results,omitempty"`  // finish_batch
-	Stats   *Stats       `json:"stats,omitempty"`
+	Failed  bool
+	Empty   bool
+	Tasks   []wireTask   // pop_batch
+	TaskIDs []int64      // submit_batch
+	Results []wireResult // finish_batch
+	Stats   *Stats
 	// WrongShard marks a redirect: the op was sent to the wrong member of
 	// a shard group and Shard names the owner. The op was NOT applied.
-	WrongShard bool `json:"wrong_shard,omitempty"`
-	Shard      int  `json:"shard,omitempty"`
+	WrongShard bool
+	Shard      int
 	// wal_fetch: the next shipping cursor, the shipped framed records,
 	// and whether Data is a bootstrap snapshot instead. Seg 0 in a
 	// wal_fetch response means the requested cursor was compacted away
 	// and the follower must re-bootstrap.
-	Seg      int    `json:"seg,omitempty"`
-	Off      int64  `json:"off,omitempty"`
-	Snapshot bool   `json:"snapshot,omitempty"`
-	Data     []byte `json:"data,omitempty"`
+	Seg      int
+	Off      int64
+	Snapshot bool
+	Data     []byte
 }
 
 // connClaims tracks task attempts popped on one connection and not yet
@@ -183,14 +176,6 @@ func (cc *connClaims) drain() map[int64]int64 {
 // ServerOption configures a Server at Serve time.
 type ServerOption func(*Server)
 
-// WithLegacyOnlyFraming makes the server speak only the v1 JSON framing,
-// as a pre-v2 server would: a v2 client's handshake is answered with a
-// JSON error line, driving the client down its fallback path. Useful for
-// cross-version testing.
-func WithLegacyOnlyFraming() ServerOption {
-	return func(s *Server) { s.legacyOnly = true }
-}
-
 // WithShardIdentity declares the server shard index of a count-wide
 // shard group. Keyed submits whose ring owner is another shard, and
 // task-addressed ops whose strided ID belongs to another shard, are
@@ -221,7 +206,6 @@ type Server struct {
 	draining   bool
 	ctx        context.Context
 	cancel     context.CancelFunc
-	legacyOnly bool
 	shardIndex int
 	shardCount int
 	ring       *Ring
@@ -333,7 +317,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle sniffs the framing and runs the matching per-connection loop.
+// handle checks the connection's preamble and runs the binary loop.
 func (s *Server) handle(conn net.Conn) {
 	claims := newConnClaims()
 	mNetConns.Inc()
@@ -354,26 +338,12 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}()
 	br := bufio.NewReader(conn)
-	if s.legacyOnly {
-		s.handleLegacy(conn, br, claims)
-		return
-	}
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == '{' {
-		// v1 JSON client: no hello line, requests start immediately.
-		s.handleLegacy(conn, br, claims)
-		return
-	}
 	line, err := br.ReadString('\n')
 	if err != nil {
 		return
 	}
 	if line != clientHello {
-		enc := json.NewEncoder(conn)
-		_ = enc.Encode(wireResponse{Error: fmt.Sprintf("bad preamble %q", line)})
+		fmt.Fprintf(conn, "emews: bad preamble %q\n", line)
 		return
 	}
 	if _, err := conn.Write([]byte(serverHelloAck)); err != nil {
@@ -382,40 +352,6 @@ func (s *Server) handle(conn net.Conn) {
 	s.handleBinary(conn, br, claims)
 }
 
-// handleLegacy is the v1 loop: one newline-delimited JSON request at a
-// time, processed synchronously.
-func (s *Server) handleLegacy(conn net.Conn, r *bufio.Reader, claims *connClaims) {
-	enc := json.NewEncoder(conn)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			return
-		}
-		var req wireRequest
-		if err := json.Unmarshal(line, &req); err != nil {
-			_ = enc.Encode(wireResponse{Error: "bad request: " + err.Error()})
-			continue
-		}
-		mNetRequests.Inc()
-		reqStart := time.Now()
-		if !s.beginDispatch() {
-			return
-		}
-		resp := s.dispatch(s.ctx, req, claims)
-		mNetRequest.ObserveSince(reqStart)
-		err = enc.Encode(resp)
-		s.dispatchWG.Done()
-		if err != nil {
-			return
-		}
-	}
-}
-
-// dispatch executes one request against the DB. It is codec-agnostic:
-// both the JSON loop and the binary handler feed it, so every op
-// (including the batch ops) works over either framing. ctx bounds
-// blocking pops: it is the server context, additionally canceled when the
-// requesting connection dies (binary path).
 // wrongShardTask answers a redirect when a task-addressed op reached a
 // shard that does not own the task's strided ID; nil means the op may
 // proceed (including always on an unsharded server).
@@ -447,6 +383,9 @@ func (s *Server) wrongShardKey(key string) *wireResponse {
 	return nil
 }
 
+// dispatch executes one decoded request against the DB. ctx bounds
+// blocking pops: it is the server context, additionally canceled when the
+// requesting connection dies.
 func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClaims) wireResponse {
 	switch req.Op {
 	case "submit":
@@ -691,17 +630,9 @@ func WithBackoff(base, max time.Duration) ClientOption {
 	return func(c *Client) { c.baseBackoff, c.maxBackoff = base, max }
 }
 
-// WithLegacyFraming skips the v2 handshake and speaks the v1 JSON framing
-// unconditionally, behaving exactly like a pre-v2 client. Useful for
-// cross-version testing.
-func WithLegacyFraming() ClientOption {
-	return func(c *Client) { c.forceLegacy = true }
-}
-
 // Client is a TCP client for a remote task DB. Methods are safe for
-// concurrent use. Against a v2 server, concurrent ops are pipelined on
-// one connection (matched by request id); against a legacy server they
-// are serialized.
+// concurrent use: concurrent ops are pipelined on one connection and
+// matched to their responses by request id.
 //
 // The client is resilient: when an op fails at the transport level, the
 // connection is dropped and redialed with exponential backoff, and ops
@@ -719,7 +650,6 @@ type Client struct {
 	baseBackoff time.Duration
 	maxBackoff  time.Duration
 	maxRetries  int
-	forceLegacy bool
 
 	closeCh chan struct{} // closed by Close; interrupts backoff waits and pending ops
 
@@ -728,25 +658,10 @@ type Client struct {
 	// ops never wait behind a redial in progress.
 	dialMu sync.Mutex
 
-	// legacyMu serializes request/response exchanges on a legacy (JSON)
-	// connection, which supports only one op in flight.
-	legacyMu sync.Mutex
-
 	mu      sync.Mutex
 	closed  bool
-	conn    net.Conn
-	r       *bufio.Reader  // legacy framing only
-	enc     *json.Encoder  // legacy framing only
-	sess    *clientSession // binary framing only (nil on a legacy conn)
+	sess    *clientSession // the live connection; nil until (re)dialed
 	backoff time.Duration  // next redial delay; 0 after a healthy connect
-}
-
-// connHandle is a stable snapshot of the live connection for one exchange.
-type connHandle struct {
-	conn net.Conn
-	sess *clientSession
-	r    *bufio.Reader
-	enc  *json.Encoder
 }
 
 // Dial connects to a Server.
@@ -778,15 +693,11 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	close(c.closeCh)
-	conn, sess := c.conn, c.sess
-	c.conn, c.r, c.enc, c.sess = nil, nil, nil, nil
+	sess := c.sess
+	c.sess = nil
 	c.mu.Unlock()
 	if sess != nil {
 		sess.shutdown()
-		return nil
-	}
-	if conn != nil {
-		return conn.Close()
 	}
 	return nil
 }
@@ -802,20 +713,19 @@ func (c *Client) bumpBackoffLocked() {
 	}
 }
 
-// ensureConn returns the live connection, dialing (with handshake and
+// ensureConn returns the live session, dialing (with handshake and
 // interruptible backoff) if there is none. The backoff sleep happens
 // under dialMu only, so Close and ops on an established connection are
 // never blocked behind it.
-func (c *Client) ensureConn() (connHandle, error) {
+func (c *Client) ensureConn() (*clientSession, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return connHandle{}, closedClientErr()
+		return nil, closedClientErr()
 	}
-	if c.conn != nil {
-		h := connHandle{conn: c.conn, sess: c.sess, r: c.r, enc: c.enc}
+	if sess := c.sess; sess != nil {
 		c.mu.Unlock()
-		return h, nil
+		return sess, nil
 	}
 	c.mu.Unlock()
 
@@ -825,12 +735,11 @@ func (c *Client) ensureConn() (connHandle, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return connHandle{}, closedClientErr()
+		return nil, closedClientErr()
 	}
-	if c.conn != nil {
-		h := connHandle{conn: c.conn, sess: c.sess, r: c.r, enc: c.enc}
+	if sess := c.sess; sess != nil {
 		c.mu.Unlock()
-		return h, nil
+		return sess, nil
 	}
 	backoff := c.backoff
 	c.mu.Unlock()
@@ -840,7 +749,7 @@ func (c *Client) ensureConn() (connHandle, error) {
 		select {
 		case <-c.closeCh:
 			t.Stop()
-			return connHandle{}, closedClientErr()
+			return nil, closedClientErr()
 		case <-t.C:
 		}
 	}
@@ -853,96 +762,61 @@ func (c *Client) ensureConn() (connHandle, error) {
 		c.mu.Lock()
 		c.bumpBackoffLocked()
 		c.mu.Unlock()
-		return connHandle{}, fmt.Errorf("%w: dial %s: %v", ErrTransport, c.addr, err)
+		return nil, fmt.Errorf("%w: dial %s: %v", ErrTransport, c.addr, err)
 	}
 	r := bufio.NewReader(conn)
-	binaryOK, err := c.handshake(conn, r, dialTimeout)
-	if err != nil {
+	if err := handshake(conn, r, dialTimeout); err != nil {
 		conn.Close()
 		c.mu.Lock()
 		c.bumpBackoffLocked()
 		c.mu.Unlock()
-		return connHandle{}, fmt.Errorf("%w: handshake %s: %v", ErrTransport, c.addr, err)
+		return nil, fmt.Errorf("%w: handshake %s: %v", ErrTransport, c.addr, err)
 	}
-	var sess *clientSession
-	var enc *json.Encoder
-	if binaryOK {
-		sess = newClientSession(conn, r)
-	} else {
-		enc = json.NewEncoder(conn)
-	}
+	sess := newClientSession(conn, r)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		if sess != nil {
-			sess.shutdown()
-		} else {
-			conn.Close()
-		}
-		return connHandle{}, closedClientErr()
+		sess.shutdown()
+		return nil, closedClientErr()
 	}
 	c.backoff = 0
-	c.conn, c.r, c.enc, c.sess = conn, r, enc, sess
-	h := connHandle{conn: conn, sess: sess, r: r, enc: enc}
+	c.sess = sess
 	c.mu.Unlock()
-	return h, nil
+	return sess, nil
 }
 
-// handshake negotiates the framing on a fresh connection. It returns
-// binaryOK=false when the server only speaks the v1 JSON framing (its
-// reply to the hello starts with '{').
-func (c *Client) handshake(conn net.Conn, r *bufio.Reader, timeout time.Duration) (binaryOK bool, err error) {
-	if c.forceLegacy {
-		return false, nil
-	}
+// handshake sends the v2 hello on a fresh connection and requires the
+// server's ack; any other reply (including a pre-v2 server's JSON error
+// line) fails the dial.
+func handshake(conn net.Conn, r *bufio.Reader, timeout time.Duration) error {
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	if _, err := conn.Write([]byte(clientHello)); err != nil {
-		return false, err
-	}
-	first, err := r.Peek(1)
-	if err != nil {
-		return false, err
-	}
-	if first[0] == '{' {
-		// Legacy server: it read the hello as one bad JSON request and
-		// answered an error line. Consume it and fall back to v1 framing.
-		if _, err := r.ReadBytes('\n'); err != nil {
-			return false, err
-		}
-		return false, nil
+		return err
 	}
 	line, err := r.ReadString('\n')
 	if err != nil {
-		return false, err
+		return err
 	}
 	if line != serverHelloAck {
-		return false, fmt.Errorf("unexpected handshake reply %q", line)
+		return fmt.Errorf("unexpected handshake reply %q", line)
 	}
-	return true, nil
+	return nil
 }
 
-// drop discards conn if it is still the client's current connection and
-// arms the reconnect backoff. Safe to call from several ops that failed
-// on the same connection.
-func (c *Client) drop(conn net.Conn) {
+// drop shuts sess down, and if it is still the client's current session,
+// forgets it and arms the reconnect backoff. Safe to call from several ops
+// that failed on the same session.
+func (c *Client) drop(sess *clientSession) {
 	c.mu.Lock()
-	if c.conn != conn {
-		c.mu.Unlock()
-		conn.Close()
-		return
-	}
-	sess := c.sess
-	c.conn, c.r, c.enc, c.sess = nil, nil, nil, nil
-	if c.backoff == 0 {
-		c.backoff = c.baseBackoff
+	if c.sess == sess {
+		c.sess = nil
+		if c.backoff == 0 {
+			c.backoff = c.baseBackoff
+		}
 	}
 	c.mu.Unlock()
-	if sess != nil {
-		sess.shutdown()
-	} else {
-		conn.Close()
-	}
+	sess.shutdown()
 }
 
 // retrySafe reports whether req may be re-sent even though the previous
@@ -984,41 +858,6 @@ func (c *Client) exchangeTimeout(req *wireRequest) time.Duration {
 	return d
 }
 
-// exchange performs one request/response on the given connection.
-func (c *Client) exchange(h connHandle, req *wireRequest) (wireResponse, error) {
-	if h.sess != nil {
-		return h.sess.do(req, c.exchangeTimeout(req), c.closeCh)
-	}
-	return c.legacyExchange(h, req)
-}
-
-// legacyExchange is the v1 path: one JSON line out, one JSON line back,
-// serialized with other ops on this client.
-func (c *Client) legacyExchange(h connHandle, req *wireRequest) (wireResponse, error) {
-	c.legacyMu.Lock()
-	defer c.legacyMu.Unlock()
-	var deadline time.Time
-	if d := c.exchangeTimeout(req); d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	_ = h.conn.SetDeadline(deadline)
-	if err := h.enc.Encode(req); err != nil {
-		return wireResponse{}, fmt.Errorf("%w: write: %v", ErrTransport, err)
-	}
-	line, err := h.r.ReadBytes('\n')
-	if err != nil {
-		return wireResponse{}, fmt.Errorf("%w: read: %v", ErrTransport, err)
-	}
-	var resp wireResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return wireResponse{}, fmt.Errorf("%w: decode: %v", ErrTransport, err)
-	}
-	if err := respError(&resp); err != nil {
-		return resp, err
-	}
-	return resp, nil
-}
-
 // WrongShardError is a redirect from a shard-group member: the op was
 // sent to the wrong shard, was not applied, and should be re-sent to
 // Shard. The routing ShardedClient follows these transparently; a raw
@@ -1057,7 +896,7 @@ func (e *staleRemoteError) Is(target error) bool { return target == ErrStaleClai
 func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		h, err := c.ensureConn()
+		sess, err := c.ensureConn()
 		if err != nil {
 			if errors.Is(err, errClientClosed) {
 				return wireResponse{}, err
@@ -1068,7 +907,7 @@ func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 			}
 			continue
 		}
-		resp, err := c.exchange(h, &req)
+		resp, err := sess.do(&req, c.exchangeTimeout(&req), c.closeCh)
 		if err == nil {
 			return resp, nil
 		}
@@ -1077,7 +916,7 @@ func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 			// the connection is fine, the request was refused.
 			return resp, err
 		}
-		c.drop(h.conn)
+		c.drop(sess)
 		if errors.Is(err, errClientClosed) {
 			return wireResponse{}, err
 		}
@@ -1251,10 +1090,8 @@ func (c *Client) Result(taskID int64) (result string, done bool, err error) {
 	if !resp.Done {
 		return "", false, nil
 	}
-	// Failed is authoritative (a task can fail with an empty message);
-	// the Error check keeps compatibility with pre-v2 servers that only
-	// signal failure through a non-empty message.
-	if resp.Failed || resp.Error != "" {
+	// Failed is authoritative: a task can fail with an empty message.
+	if resp.Failed {
 		return "", true, &TaskError{TaskID: taskID, Msg: resp.Error}
 	}
 	return resp.Result, true, nil

@@ -3,9 +3,9 @@ package emews
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -15,134 +15,108 @@ import (
 	"time"
 )
 
-// framingModes are the protocol cross-version matrix: both peers v2
-// (binary), a pre-v2 JSON client against a v2 server, and a v2 client
-// against a JSON-only server (handshake fallback path).
-var framingModes = []struct {
-	name       string
-	serverOpts []ServerOption
-	clientOpts []ClientOption
-	wantBinary bool
-}{
-	{name: "binary", wantBinary: true},
-	{name: "legacy-client", clientOpts: []ClientOption{WithLegacyFraming()}},
-	{name: "legacy-server", serverOpts: []ServerOption{WithLegacyOnlyFraming()}},
-}
-
-func (c *Client) usingBinary() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sess != nil
-}
-
-// Every op — including the batch ops — must behave identically across the
-// version matrix, and each mode must negotiate the framing it claims to.
+// Every op — including the batch ops — must work over the binary framing.
 func TestProtocolCrossVersionMatrix(t *testing.T) {
-	for _, mode := range framingModes {
-		t.Run(mode.name, func(t *testing.T) {
-			db := NewDB()
-			defer db.Close()
-			srv, err := Serve(db, "127.0.0.1:0", mode.serverOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := Dial(srv.Addr(), mode.clientOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if got := c.usingBinary(); got != mode.wantBinary {
-				t.Fatalf("negotiated binary=%v, want %v", got, mode.wantBinary)
-			}
+	t.Run("binary", func(t *testing.T) {
+		db := NewDB()
+		defer db.Close()
+		srv, err := Serve(db, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
 
-			// Single-op lifecycle.
-			id, err := c.Submit("m", 0, "one")
-			if err != nil {
-				t.Fatal(err)
-			}
-			task, ok, err := c.Pop("m", time.Second)
-			if err != nil || !ok || task.ID != id || task.Epoch != 1 {
-				t.Fatalf("pop = %+v ok=%v err=%v", task, ok, err)
-			}
-			if err := c.Complete(task.ID, task.Epoch, "done"); err != nil {
-				t.Fatal(err)
-			}
-			res, done, err := c.Result(id)
-			if err != nil || !done || res != "done" {
-				t.Fatalf("result = %q done=%v err=%v", res, done, err)
-			}
+		// Single-op lifecycle.
+		id, err := c.Submit("m", 0, "one")
+		if err != nil {
+			t.Fatal(err)
+		}
+		task, ok, err := c.Pop("m", time.Second)
+		if err != nil || !ok || task.ID != id || task.Epoch != 1 {
+			t.Fatalf("pop = %+v ok=%v err=%v", task, ok, err)
+		}
+		if err := c.Complete(task.ID, task.Epoch, "done"); err != nil {
+			t.Fatal(err)
+		}
+		res, done, err := c.Result(id)
+		if err != nil || !done || res != "done" {
+			t.Fatalf("result = %q done=%v err=%v", res, done, err)
+		}
 
-			// Batched lifecycle: submit N in one exchange, lease them in one
-			// exchange, resolve them (mixed outcomes) in one exchange.
-			payloads := []string{"p0", "p1", "p2", "p3", "p4"}
-			ids, err := c.SubmitBatch("b", 0, payloads, 1)
+		// Batched lifecycle: submit N in one exchange, lease them in one
+		// exchange, resolve them (mixed outcomes) in one exchange.
+		payloads := []string{"p0", "p1", "p2", "p3", "p4"}
+		ids, err := c.SubmitBatch("b", 0, payloads, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != len(payloads) {
+			t.Fatalf("SubmitBatch returned %d ids", len(ids))
+		}
+		tasks, err := c.PopBatch("b", len(payloads), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tasks) != len(payloads) {
+			t.Fatalf("PopBatch leased %d/%d queued tasks", len(tasks), len(payloads))
+		}
+		fins := make([]FinishOp, len(tasks))
+		for i, task := range tasks {
+			if task.Epoch != 1 {
+				t.Fatalf("task %d epoch = %d", task.ID, task.Epoch)
+			}
+			if i%2 == 0 {
+				fins[i] = FinishOp{TaskID: task.ID, Epoch: task.Epoch, Result: "ok:" + task.Payload}
+			} else {
+				fins[i] = FinishOp{TaskID: task.ID, Epoch: task.Epoch, Failed: true, ErrMsg: "injected"}
+			}
+		}
+		errs, err := c.FinishBatch(fins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range errs {
+			if e != nil {
+				t.Fatalf("finish %d rejected: %v", i, e)
+			}
+		}
+		for i, task := range tasks {
+			snap, err := db.Get(task.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ids) != len(payloads) {
-				t.Fatalf("SubmitBatch returned %d ids", len(ids))
+			if i%2 == 0 && (snap.Status != StatusComplete || snap.Result != "ok:"+task.Payload) {
+				t.Fatalf("task %d = %v %q", task.ID, snap.Status, snap.Result)
 			}
-			tasks, err := c.PopBatch("b", len(payloads), time.Second)
-			if err != nil {
-				t.Fatal(err)
+			if i%2 == 1 && snap.Status != StatusFailed {
+				t.Fatalf("task %d = %v, want failed", task.ID, snap.Status)
 			}
-			if len(tasks) != len(payloads) {
-				t.Fatalf("PopBatch leased %d/%d queued tasks", len(tasks), len(payloads))
-			}
-			fins := make([]FinishOp, len(tasks))
-			for i, task := range tasks {
-				if task.Epoch != 1 {
-					t.Fatalf("task %d epoch = %d", task.ID, task.Epoch)
-				}
-				if i%2 == 0 {
-					fins[i] = FinishOp{TaskID: task.ID, Epoch: task.Epoch, Result: "ok:" + task.Payload}
-				} else {
-					fins[i] = FinishOp{TaskID: task.ID, Epoch: task.Epoch, Failed: true, ErrMsg: "injected"}
-				}
-			}
-			errs, err := c.FinishBatch(fins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, e := range errs {
-				if e != nil {
-					t.Fatalf("finish %d rejected: %v", i, e)
-				}
-			}
-			for i, task := range tasks {
-				snap, err := db.Get(task.ID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i%2 == 0 && (snap.Status != StatusComplete || snap.Result != "ok:"+task.Payload) {
-					t.Fatalf("task %d = %v %q", task.ID, snap.Status, snap.Result)
-				}
-				if i%2 == 1 && snap.Status != StatusFailed {
-					t.Fatalf("task %d = %v, want failed", task.ID, snap.Status)
-				}
-			}
+		}
 
-			// A stale fenced resolution inside a batch is rejected per-op
-			// without failing the batch.
-			errs, err = c.FinishBatch([]FinishOp{{TaskID: tasks[0].ID, Epoch: tasks[0].Epoch, Failed: true, ErrMsg: "late"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !errors.Is(errs[0], ErrStaleClaim) {
-				t.Fatalf("late conflicting finish = %v, want ErrStaleClaim", errs[0])
-			}
+		// A stale fenced resolution inside a batch is rejected per-op
+		// without failing the batch.
+		errs, err = c.FinishBatch([]FinishOp{{TaskID: tasks[0].ID, Epoch: tasks[0].Epoch, Failed: true, ErrMsg: "late"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(errs[0], ErrStaleClaim) {
+			t.Fatalf("late conflicting finish = %v, want ErrStaleClaim", errs[0])
+		}
 
-			// An empty poll must come back clean in every mode.
-			if tasks, err := c.PopBatch("empty-type", 4, 10*time.Millisecond); err != nil || len(tasks) != 0 {
-				t.Fatalf("empty PopBatch = %v, %v", tasks, err)
-			}
-			if _, err := c.RemoteStats(); err != nil {
-				t.Fatal(err)
-			}
-			statsBalanced(t, db)
-		})
-	}
+		// An empty poll must come back clean.
+		if tasks, err := c.PopBatch("empty-type", 4, 10*time.Millisecond); err != nil || len(tasks) != 0 {
+			t.Fatalf("empty PopBatch = %v, %v", tasks, err)
+		}
+		if _, err := c.RemoteStats(); err != nil {
+			t.Fatal(err)
+		}
+		statsBalanced(t, db)
+	})
 }
 
 // Pipelining: many goroutines sharing ONE v2 client must make progress
@@ -160,9 +134,6 @@ func TestBinaryClientPipelinesConcurrentOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.usingBinary() {
-		t.Fatal("expected binary framing")
-	}
 
 	const workers = 8
 	const perWorker = 25
@@ -174,8 +145,7 @@ func TestBinaryClientPipelinesConcurrentOps(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				payload := fmt.Sprintf("w%d-%d", w, i)
-				id, err := c.Submit("pipe", 0, payload)
-				if err != nil {
+				if _, err := c.Submit("pipe", 0, payload); err != nil {
 					errCh <- err
 					return
 				}
@@ -188,8 +158,11 @@ func TestBinaryClientPipelinesConcurrentOps(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if _, done, err := c.Result(id); err != nil || !done {
-					errCh <- fmt.Errorf("result %d: done=%v err=%v", id, done, err)
+				// Check the task this goroutine resolved: the one it
+				// submitted may be popped by another goroutine and not
+				// yet completed.
+				if _, done, err := c.Result(task.ID); err != nil || !done {
+					errCh <- fmt.Errorf("result %d: done=%v err=%v", task.ID, done, err)
 					return
 				}
 			}
@@ -212,41 +185,39 @@ func TestBinaryClientPipelinesConcurrentOps(t *testing.T) {
 // reported as a failure by Result, not as a success with an empty result.
 // Pre-v2 the client keyed failure on Error != "".
 func TestResultReportsEmptyMessageFailure(t *testing.T) {
-	for _, mode := range framingModes {
-		t.Run(mode.name, func(t *testing.T) {
-			db := NewDB()
-			defer db.Close()
-			srv, err := Serve(db, "127.0.0.1:0", mode.serverOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := Dial(srv.Addr(), mode.clientOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	t.Run("binary", func(t *testing.T) {
+		db := NewDB()
+		defer db.Close()
+		srv, err := Serve(db, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
 
-			if _, err := c.Submit("m", 0, "x"); err != nil {
-				t.Fatal(err)
-			}
-			task, ok, err := c.Pop("m", time.Second)
-			if err != nil || !ok {
-				t.Fatalf("pop = %v ok=%v", err, ok)
-			}
-			if err := c.Fail(task.ID, task.Epoch, ""); err != nil {
-				t.Fatal(err)
-			}
-			res, done, err := c.Result(task.ID)
-			if !done {
-				t.Fatal("failed task reported as still pending")
-			}
-			var te *TaskError
-			if !errors.As(err, &te) {
-				t.Fatalf("empty-message failure reported as success (res=%q err=%v), want *TaskError", res, err)
-			}
-		})
-	}
+		if _, err := c.Submit("m", 0, "x"); err != nil {
+			t.Fatal(err)
+		}
+		task, ok, err := c.Pop("m", time.Second)
+		if err != nil || !ok {
+			t.Fatalf("pop = %v ok=%v", err, ok)
+		}
+		if err := c.Fail(task.ID, task.Epoch, ""); err != nil {
+			t.Fatal(err)
+		}
+		res, done, err := c.Result(task.ID)
+		if !done {
+			t.Fatal("failed task reported as still pending")
+		}
+		var te *TaskError
+		if !errors.As(err, &te) {
+			t.Fatalf("empty-message failure reported as success (res=%q err=%v), want *TaskError", res, err)
+		}
+	})
 }
 
 // Regression (bugfix): a positive sub-millisecond pop timeout must stay a
@@ -333,10 +304,10 @@ func TestCloseInterruptsReconnectBackoff(t *testing.T) {
 	}
 }
 
-// swallowServer is a fake legacy server that answers the v2 handshake
-// with a JSON error line (as a real pre-v2 server would), then swallows
-// the next request — counting it — and drops the connection without
-// replying, forcing a mid-op transport error with the op's fate unknown.
+// swallowServer is a fake server that acks the v2 handshake, then
+// swallows the next request frame — counting it — and drops the
+// connection without replying, forcing a mid-op transport error with the
+// op's fate unknown.
 func swallowServer(t *testing.T, count *int64) (addr string, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -357,26 +328,91 @@ func swallowServer(t *testing.T, count *int64) (addr string, stop func()) {
 				defer wg.Done()
 				defer conn.Close()
 				r := bufio.NewReader(conn)
-				for {
-					line, err := r.ReadString('\n')
-					if err != nil {
-						return
-					}
-					if line == clientHello {
-						fmt.Fprint(conn, "{\"error\":\"bad request: unknown preamble\"}\n")
-						continue
-					}
-					var req wireRequest
-					if json.Unmarshal([]byte(line), &req) != nil {
-						return
-					}
-					atomic.AddInt64(count, 1)
-					return // swallow: no response, connection dropped
+				if line, err := r.ReadString('\n'); err != nil || line != clientHello {
+					return
 				}
+				if _, err := conn.Write([]byte(serverHelloAck)); err != nil {
+					return
+				}
+				if _, _, _, err := readFrame(r); err != nil {
+					return
+				}
+				atomic.AddInt64(count, 1) // swallow: no response, connection dropped
 			}(conn)
 		}
 	}()
 	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }
+}
+
+// The server speaks only wire v2: a client that skips the hello — a
+// newline-delimited JSON request, or any other garbage — gets exactly one
+// "bad preamble" line and a closed connection, and nothing is applied.
+func TestServerRefusesNonV2Preamble(t *testing.T) {
+	db := NewDB()
+	defer db.Close()
+	srv, err := Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, preamble := range []string{
+		`{"op":"submit","type":"m","payload":"x"}` + "\n",
+		"GARBAGE\n",
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.WriteString(conn, preamble); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(conn)
+		line, err := r.ReadString('\n')
+		if err != nil || !strings.Contains(line, "bad preamble") {
+			t.Fatalf("preamble %q: reply %q, err %v; want one bad preamble line", preamble, line, err)
+		}
+		if rest, err := r.ReadString('\n'); err != io.EOF {
+			t.Fatalf("preamble %q: after refusal read %q, err %v; want EOF", preamble, rest, err)
+		}
+		conn.Close()
+	}
+	if st := db.Stats(); st.Submitted != 0 {
+		t.Fatalf("refused connections created tasks: %+v", st)
+	}
+}
+
+// A v2 client refuses a server that answers the hello with anything but
+// the ack — here the JSON error line a pre-v2 server would send.
+func TestDialRefusesNonV2Server(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+					return
+				}
+				_, _ = io.WriteString(conn, `{"error":"bad request: unknown preamble"}`+"\n")
+			}(conn)
+		}
+	}()
+	c, err := Dial(ln.Addr().String(), WithOpTimeout(2*time.Second))
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a server that did not ack the v2 hello")
+	}
+	if !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), "unexpected handshake reply") {
+		t.Fatalf("Dial = %v, want ErrTransport with an unexpected handshake reply", err)
+	}
 }
 
 // Regression (bugfix): an UNFENCED (epoch-0) complete/fail is not
@@ -419,41 +455,39 @@ func TestUnfencedResolutionNotRetriedOverTransport(t *testing.T) {
 // shutdown must get a clean empty poll, not a "context canceled" error —
 // the close becomes visible as a transport condition on its next op.
 func TestServerCloseYieldsCleanEmptyPop(t *testing.T) {
-	for _, mode := range framingModes {
-		t.Run(mode.name, func(t *testing.T) {
-			db := NewDB()
-			defer db.Close()
-			srv, err := Serve(db, "127.0.0.1:0", mode.serverOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := Dial(srv.Addr(), append([]ClientOption{WithRetries(0)}, mode.clientOpts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	t.Run("binary", func(t *testing.T) {
+		db := NewDB()
+		defer db.Close()
+		srv, err := Serve(db, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Dial(srv.Addr(), WithRetries(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
 
-			type popOut struct {
-				ok  bool
-				err error
+		type popOut struct {
+			ok  bool
+			err error
+		}
+		done := make(chan popOut, 1)
+		go func() {
+			_, ok, err := c.Pop("m", 0) // unbounded wait
+			done <- popOut{ok, err}
+		}()
+		time.Sleep(100 * time.Millisecond)
+		srv.Close()
+		select {
+		case out := <-done:
+			if out.err != nil || out.ok {
+				t.Fatalf("pop during server shutdown = ok=%v err=%v, want clean empty", out.ok, out.err)
 			}
-			done := make(chan popOut, 1)
-			go func() {
-				_, ok, err := c.Pop("m", 0) // unbounded wait
-				done <- popOut{ok, err}
-			}()
-			time.Sleep(100 * time.Millisecond)
-			srv.Close()
-			select {
-			case out := <-done:
-				if out.err != nil || out.ok {
-					t.Fatalf("pop during server shutdown = ok=%v err=%v, want clean empty", out.ok, out.err)
-				}
-			case <-time.After(3 * time.Second):
-				t.Fatal("blocking pop did not return on server close")
-			}
-		})
-	}
+		case <-time.After(3 * time.Second):
+			t.Fatal("blocking pop did not return on server close")
+		}
+	})
 }
 
 // Regression (race): Close waits on the in-flight dispatch WaitGroup
@@ -462,43 +496,41 @@ func TestServerCloseYieldsCleanEmptyPop(t *testing.T) {
 // drain barrier (beginDispatch) must make the storm below clean under
 // -race: requests arriving mid-Close are refused, not registered.
 func TestCloseDuringRequestStorm(t *testing.T) {
-	for _, mode := range framingModes {
-		t.Run(mode.name, func(t *testing.T) {
-			db := NewDB()
-			defer db.Close()
-			srv, err := Serve(db, "127.0.0.1:0", mode.serverOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for i := 0; i < 4; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					c, err := Dial(srv.Addr(), append([]ClientOption{WithRetries(0)}, mode.clientOpts...)...)
-					if err != nil {
+	t.Run("binary", func(t *testing.T) {
+		db := NewDB()
+		defer db.Close()
+		srv, err := Serve(db, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := Dial(srv.Addr(), WithRetries(0))
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				for {
+					select {
+					case <-stop:
 						return
+					default:
 					}
-					defer c.Close()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						// Errors are expected once Close lands; the
-						// point is that the server side stays race-free.
-						_, _ = c.Submit("m", 1, "p")
-					}
-				}()
-			}
-			time.Sleep(50 * time.Millisecond)
-			srv.Close()
-			close(stop)
-			wg.Wait()
-		})
-	}
+					// Errors are expected once Close lands; the
+					// point is that the server side stays race-free.
+					_, _ = c.Submit("m", 1, "p")
+				}
+			}()
+		}
+		time.Sleep(50 * time.Millisecond)
+		srv.Close()
+		close(stop)
+		wg.Wait()
+	})
 }
 
 // The DB-side batch primitive: PopBatch leases up to max in one call,

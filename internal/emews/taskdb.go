@@ -459,7 +459,7 @@ func (db *DB) popLocked(taskType string) (*Claim, error) {
 // time), otherwise the claim is stale — its task was reclaimed, requeued,
 // and possibly re-popped — and the resolution is rejected with
 // ErrStaleClaim instead of silently corrupting the newer attempt.
-// epoch == 0 is the unfenced legacy path (old wire clients) and only
+// epoch == 0 is the unfenced path (callers that pass no epoch) and only
 // checks that the task is running. A duplicate delivery of the same
 // attempt's resolution (same epoch, already recorded) returns nil, which
 // makes fenced Complete/Fail safe to retry over a flaky transport.

@@ -10,19 +10,17 @@
 //	offset 4   request id uint64 big-endian (pipelining correlation token)
 //	offset 12  length     uint32 big-endian payload byte count
 //
-// Payloads are a compact field encoding (uvarint/varint integers,
-// length-prefixed strings) of the same wireRequest/wireResponse structs the
-// v1 JSON framing serializes, so both framings share one server dispatch.
-// Request ids let a connection carry many ops in flight: the server
-// dispatches frames concurrently and responses may return out of order.
+// Payloads are a compact positional encoding (uvarint/varint integers,
+// length-prefixed strings) of the wireRequest/wireResponse structs that
+// the server's dispatch consumes and produces. Request ids let a
+// connection carry many ops in flight: the server dispatches frames
+// concurrently and responses may return out of order.
 //
-// Negotiation: a v2 client opens with the clientHello line. A v2 server
-// recognizes it and answers serverHelloAck, after which both sides speak
-// binary frames. A v1 (JSON) server consumes the hello as one malformed
-// request line and answers a JSON error object, which the client detects
-// (first byte '{') and falls back to the v1 framing. A v1 client's first
-// byte is '{', which a v2 server detects and routes to the v1 handler. Both
-// fallbacks cost at most one round trip and no reconnect.
+// Handshake: the client opens with the clientHello line and the server
+// answers serverHelloAck, after which both sides speak binary frames. A
+// server that reads any other preamble writes one "bad preamble" line and
+// closes the connection; a client that reads any other reply fails the
+// dial with ErrTransport. There is no fallback framing.
 package emews
 
 import (
@@ -41,8 +39,8 @@ const (
 	maxWireBatch    = 1 << 16  // decoder cap on any list length
 )
 
-// Handshake lines. Both end in '\n' so a v1 server consumes the hello as
-// exactly one (invalid) request line.
+// Handshake lines. Both end in '\n', so each side reads the other's with
+// one line read.
 const (
 	clientHello    = "OSPREY-WIRE/2\n"
 	serverHelloAck = "OSPREY-WIRE/2 OK\n"

@@ -328,17 +328,20 @@ func TestMetricsCounters(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Name: "wal.test.metrics", Policy: SyncNever}
 	l, _ := openReplay(t, dir, opts)
+	// The counters are process-global per log name: measure deltas so a
+	// repeated run (-count=N) sees the same figures.
+	baseAppends, baseSnaps, baseBytes := l.met.appends.Value(), l.met.snapshots.Value(), l.met.bytes.Value()
 	appendN(t, l, 0, 4)
 	if err := l.WriteSnapshot([]byte("s")); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.met.appends.Value(); got != 4 {
+	if got := l.met.appends.Value() - baseAppends; got != 4 {
 		t.Errorf("appends = %d, want 4", got)
 	}
-	if got := l.met.snapshots.Value(); got != 1 {
+	if got := l.met.snapshots.Value() - baseSnaps; got != 1 {
 		t.Errorf("snapshots = %d, want 1", got)
 	}
-	if got := l.met.bytes.Value(); got != 4*(headerSize+11) {
+	if got := l.met.bytes.Value() - baseBytes; got != 4*(headerSize+11) {
 		t.Errorf("bytes = %d, want %d", got, 4*(headerSize+11))
 	}
 	l.Close()
