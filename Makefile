@@ -6,7 +6,7 @@ GO ?= go
 # Coverage floor for cover-check (percent of statements in internal/...).
 COVER_FLOOR ?= 60
 
-.PHONY: all build vet fmt-check ci check-ci-mirror test test-go test-short test-shuffle test-count2 test-single-core race race-lifecycle race-numerics race-all smoke-ctl soak soak-shard soak-tenant staticcheck bench bench-smoke bench-json bench-compare fuzz-smoke figures figures-quick cover cover-check clean
+.PHONY: all build vet fmt-check perfbench-check ci check-ci-mirror test test-go test-short test-shuffle test-count2 test-single-core race race-lifecycle race-numerics race-all smoke-ctl soak soak-shard soak-tenant staticcheck bench bench-smoke bench-json bench-compare fuzz-smoke figures figures-quick cover cover-check clean
 
 all: build test
 
@@ -17,7 +17,7 @@ all: build test
 # build when the two lists diverge. To change the pipeline, edit this
 # variable and mirror the step list in ci.yml — see DESIGN.md,
 # "Load & chaos testing", for the mirror rule.
-CI_STEPS := check-ci-mirror vet fmt-check build test-go test-shuffle test-count2 test-single-core race-lifecycle race-numerics smoke-ctl
+CI_STEPS := check-ci-mirror vet fmt-check build perfbench-check test-go test-shuffle test-count2 test-single-core race-lifecycle race-numerics smoke-ctl
 
 # CI_JOBS maps each dedicated (non-`test`) ci.yml job to the make target
 # it must run, as job:target pairs. scripts/check_ci_mirror.sh verifies
@@ -44,6 +44,12 @@ fmt-check:
 		gofmt -d .; \
 		exit 1; \
 	fi
+
+# perfbench/ is its own module (replace osprey => ../), so the root
+# `go test ./...` never builds it; this step vets and tests it against the
+# packages it calls.
+perfbench-check:
+	cd perfbench && export GOFLAGS=-mod=readonly GOWORK=off && $(GO) vet ./... && $(GO) test ./...
 
 test-go:
 	$(GO) test ./...

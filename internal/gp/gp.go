@@ -176,21 +176,20 @@ func (g *GP) applyTheta(theta []float64) {
 	g.gen = genCounter.Add(1)
 }
 
-// buildK assembles the full covariance matrix with the current parameters.
-// Rows are built across the worker pool; worker i owns row i's upper
-// triangle plus its mirrored column, so no entry is written twice and the
-// result is identical to the serial construction.
+// buildK assembles the lower triangle of the covariance matrix — all the
+// Cholesky reads — with the current parameters. Rows are built across the
+// worker pool and each row is written only by the iteration that owns it,
+// so the result is identical to the serial construction.
 func (g *GP) buildK() *linalg.Dense {
 	n := len(g.x)
 	k := linalg.NewDense(n, n)
 	parallel.ForChunk(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			k.Set(i, i, g.sf2+g.nugget)
-			for j := i + 1; j < n; j++ {
-				v := g.sf2 * corr(g.kind, g.x[i], g.x[j], g.ls)
-				k.Set(i, j, v)
-				k.Set(j, i, v)
+			ki := k.Row(i)
+			for j := 0; j < i; j++ {
+				ki[j] = g.sf2 * corr(g.kind, g.x[j], g.x[i], g.ls)
 			}
+			ki[i] = g.sf2 + g.nugget
 		}
 	})
 	return k

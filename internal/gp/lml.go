@@ -7,13 +7,14 @@ import (
 	"osprey/internal/parallel"
 )
 
-// pairBase returns the index of pair (i, i+1) in the packed upper-triangle
-// pair ordering (0,1), (0,2), …, (0,n-1), (1,2), …
-func pairBase(i, n int) int {
-	return i*(n-1) - i*(i-1)/2
+// pairRow returns the index of pair (i, 0) in the packed lower-triangle
+// pair ordering (1,0), (2,0), (2,1), (3,0), …: row i's pairs (i, 0) …
+// (i, i-1) are contiguous, starting here.
+func pairRow(i int) int {
+	return i * (i - 1) / 2
 }
 
-// packSquaredDiffs precomputes (x[i][t]-x[j][t])² for every pair i<j and
+// packSquaredDiffs precomputes (x[i][t]-x[j][t])² for every pair j<i and
 // dimension t, pair-major: sq[p*d+t] for pair p. The tensor depends only on
 // the training inputs, so it is built once per optimize() and shared
 // read-only by every restart's evaluator.
@@ -22,19 +23,18 @@ func packSquaredDiffs(x [][]float64, d int) []float64 {
 	if n < 2 {
 		return nil
 	}
-	sq := make([]float64, (n*(n-1)/2)*d)
-	parallel.ForChunk(n-1, func(lo, hi int) {
+	sq := make([]float64, pairRow(n)*d)
+	parallel.ForChunk(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			xi := x[i]
-			p := pairBase(i, n)
-			for j := i + 1; j < n; j++ {
-				row := sq[p*d : p*d+d]
+			row := sq[pairRow(i)*d : pairRow(i+1)*d]
+			for j := 0; j < i; j++ {
 				xj := x[j]
-				for t := 0; t < d; t++ {
+				pair := row[j*d : j*d+d]
+				for t := range pair {
 					df := xi[t] - xj[t]
-					row[t] = df * df
+					pair[t] = df * df
 				}
-				p++
 			}
 		}
 	})
@@ -42,10 +42,11 @@ func packSquaredDiffs(x [][]float64, d int) []float64 {
 }
 
 // lmlEvaluator computes the negative log marginal likelihood for one
-// hyperparameter vector. Each multi-start restart owns one evaluator: the
-// covariance buffer and solve scratch that the old serial objective kept on
-// the GP itself live here instead, so restarts can run concurrently without
-// sharing mutable state. The training inputs are consumed through the packed
+// hyperparameter vector. Each multi-start restart owns one evaluator, and
+// the evaluator owns every buffer an evaluation writes — the covariance K,
+// its Cholesky factor and the forward-solve output — so restarts run
+// concurrently without sharing mutable state and an evaluation allocates
+// nothing. The training inputs are consumed through the packed
 // squared-difference tensor, turning each kernel entry into a d-term
 // multiply-add plus one transcendental instead of a coordinate-space
 // distance rebuild.
@@ -56,9 +57,14 @@ type lmlEvaluator struct {
 	sq          []float64 // shared, read-only
 	y           []float64 // shared, read-only
 
-	invls2 []float64 // exp(-2θ_t) = 1/ls_t² per dimension
-	k      *linalg.Dense
-	w      []float64 // forward-solve output
+	// Per-evaluation kernel parameters, read by fillRows.
+	invls2      []float64 // exp(-2θ_t) = 1/ls_t² per dimension
+	sf2, nugget float64
+
+	k    *linalg.Dense // lower triangle only; the upper stays zero
+	chol linalg.Cholesky
+	w    []float64 // forward-solve output
+	fill func(lo, hi int)
 }
 
 func newLMLEvaluator(g *GP, sq []float64) *lmlEvaluator {
@@ -71,7 +77,7 @@ func newLMLEvaluator(g *GP, sq []float64) *lmlEvaluator {
 // likelihood machinery without a fitted GP in hand.
 func newLMLEvaluatorRaw(kind KernelKind, d int, fixedNugget float64, sq, y []float64) *lmlEvaluator {
 	n := len(y)
-	return &lmlEvaluator{
+	e := &lmlEvaluator{
 		kind:        kind,
 		n:           n,
 		d:           d,
@@ -80,8 +86,12 @@ func newLMLEvaluatorRaw(kind KernelKind, d int, fixedNugget float64, sq, y []flo
 		y:           y,
 		invls2:      make([]float64, d),
 		k:           linalg.NewDense(n, n),
+		chol:        linalg.Cholesky{L: linalg.NewDense(n, n)},
 		w:           make([]float64, n),
 	}
+	// Bound once here: a method value taken per evaluation would allocate.
+	e.fill = e.fillRows
+	return e
 }
 
 // hyperStarts builds the deterministic multi-start grid shared by the dense
@@ -131,48 +141,47 @@ func (e *lmlEvaluator) negLML(theta []float64) float64 {
 	for t := 0; t < d; t++ {
 		e.invls2[t] = math.Exp(-2 * theta[t])
 	}
-	sf2 := math.Exp(theta[d])
-	nugget := e.fixedNugget
-	if nugget <= 0 {
-		nugget = math.Exp(theta[d+1])
+	e.sf2 = math.Exp(theta[d])
+	e.nugget = e.fixedNugget
+	if e.nugget <= 0 {
+		e.nugget = math.Exp(theta[d+1])
 	}
 
-	n := e.n
-	kind, sq, invls2 := e.kind, e.sq, e.invls2
-	parallel.ForChunk(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.k.Set(i, i, sf2+nugget)
-			p := pairBase(i, n)
-			for j := i + 1; j < n; j++ {
-				s := 0.0
-				row := sq[p*d : p*d+d]
-				for t := 0; t < d; t++ {
-					s += row[t] * invls2[t]
-				}
-				var c float64
-				switch kind {
-				case SquaredExponential:
-					c = math.Exp(-0.5 * s)
-				case Matern52:
-					r := math.Sqrt(5 * s)
-					c = (1 + r + 5*s/3) * math.Exp(-r)
-				default:
-					panic("gp: unknown kernel kind")
-				}
-				v := sf2 * c
-				e.k.Set(i, j, v)
-				e.k.Set(j, i, v)
-				p++
-			}
-		}
-	})
-
-	ch, _, err := linalg.NewCholeskyJittered(e.k, 1e-10, 12)
-	if err != nil {
+	parallel.ForChunk(e.n, e.fill)
+	if _, err := e.chol.RefactorJittered(e.k, 1e-10, 12); err != nil {
 		return math.Inf(1)
 	}
-	ch.ForwardSolveTo(e.w, e.y)
-	fn := float64(n)
-	lml := -0.5*linalg.Dot(e.w, e.w) - 0.5*ch.LogDet() - 0.5*fn*math.Log(2*math.Pi)
+	e.chol.ForwardSolveTo(e.w, e.y)
+	fn := float64(e.n)
+	lml := -0.5*linalg.Dot(e.w, e.w) - 0.5*e.chol.LogDet() - 0.5*fn*math.Log(2*math.Pi)
 	return -lml
+}
+
+// fillRows writes rows [lo, hi) of K's lower triangle — all the Cholesky
+// reads. Row i reads its pairs contiguously from the packed tensor and is
+// written only by the iteration that owns it.
+func (e *lmlEvaluator) fillRows(lo, hi int) {
+	d, kind, invls2, sf2 := e.d, e.kind, e.invls2, e.sf2
+	for i := lo; i < hi; i++ {
+		ki := e.k.Row(i)
+		row := e.sq[pairRow(i)*d : pairRow(i+1)*d]
+		for j := 0; j < i; j++ {
+			s := 0.0
+			for t, v := range row[j*d : j*d+d] {
+				s += v * invls2[t]
+			}
+			var c float64
+			switch kind {
+			case SquaredExponential:
+				c = math.Exp(-0.5 * s)
+			case Matern52:
+				r := math.Sqrt(5 * s)
+				c = (1 + r + 5*s/3) * math.Exp(-r)
+			default:
+				panic("gp: unknown kernel kind")
+			}
+			ki[j] = sf2 * c
+		}
+		ki[i] = sf2 + e.nugget
+	}
 }

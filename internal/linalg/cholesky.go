@@ -27,53 +27,78 @@ type Cholesky struct {
 //
 // Matrices of cholBlockedMin rows or more go through the cache-tiled
 // blocked factorization (see cholesky_blocked.go), which is bit-identical
-// at any worker count; smaller matrices use the scalar loop directly. The
-// two paths fix different (both deterministic) summation orders, so they
-// agree to rounding error, not bitwise; the crossover depends only on n.
+// at any worker count; smaller matrices use the row-blocked scalar kernel.
+// The two paths fix different (both deterministic) summation orders, so
+// they agree to rounding error, not bitwise; the crossover depends only on
+// n.
 func NewCholesky(a *Dense) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		panic("linalg: Cholesky of non-square matrix")
 	}
-	if a.Rows >= cholBlockedMin {
-		return newCholeskyBlocked(a)
+	c := &Cholesky{L: NewDense(a.Rows, a.Rows)}
+	if err := c.factor(a, 0); err != nil {
+		return nil, err
 	}
-	return newCholeskyScalar(a)
+	return c, nil
+}
+
+// factor writes the factor of a + jitter·I into c.L, which must be n×n
+// with a zero strict upper triangle; neither kernel writes above the
+// diagonal, so a reused L keeps it zero.
+func (c *Cholesky) factor(a *Dense, jitter float64) error {
+	if a.Rows >= cholBlockedMin {
+		return cholBlockedInto(c.L, a, jitter)
+	}
+	return cholScalarInto(c.L, a, jitter)
 }
 
 // NewCholeskyJittered retries the factorization with a deterministic
 // exponential jitter ladder (jitter0, 10·jitter0, 100·jitter0, …) until it
-// succeeds or maxTries is exhausted. Each rung sets the working copy's
-// diagonal to exactly original+jitter, so the attempt sequence depends only
-// on (a, jitter0, maxTries). Every retry increments the
+// succeeds or maxTries is exhausted. Each rung factors a with its diagonal
+// read as exactly original+jitter, so the attempt sequence depends only on
+// (a, jitter0, maxTries). Every retry increments the
 // linalg.chol.jitter_retries counter, making surrogate-fit instability
 // visible in /metrics. It returns the factor along with the jitter that was
 // finally applied. This is the standard guard for Gaussian-process
 // covariance matrices that are numerically semi-definite.
 func NewCholeskyJittered(a *Dense, jitter0 float64, maxTries int) (*Cholesky, float64, error) {
+	c := new(Cholesky)
+	jit, err := c.RefactorJittered(a, jitter0, maxTries)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c, jit, nil
+}
+
+// RefactorJittered is NewCholeskyJittered into c's own storage: c.L is
+// reused when it already has a's size (a zero Cholesky gets one
+// allocation), so a caller that factors same-sized matrices over and over
+// — a likelihood evaluator — allocates nothing, on any jitter rung. The
+// factor and jitter are bit-identical to NewCholeskyJittered's. A reused
+// c.L must have a zero strict upper triangle, as every factor from this
+// package has. After an error c.L holds no valid factor.
+func (c *Cholesky) RefactorJittered(a *Dense, jitter0 float64, maxTries int) (float64, error) {
+	if a.Rows != a.Cols {
+		panic("linalg: Cholesky of non-square matrix")
+	}
+	if c.L == nil || c.L.Rows != a.Rows {
+		c.L = NewDense(a.Rows, a.Rows)
+	}
 	if jitter0 <= 0 {
 		jitter0 = 1e-10
 	}
-	if ch, err := NewCholesky(a); err == nil {
-		return ch, 0, nil
-	}
-	n := a.Rows
-	b := a.Clone()
-	diag := make([]float64, n)
-	for i := 0; i < n; i++ {
-		diag[i] = a.At(i, i)
+	if c.factor(a, 0) == nil {
+		return 0, nil
 	}
 	j := jitter0
 	for try := 0; try < maxTries; try++ {
 		mCholJitterRetries.Inc()
-		for i := 0; i < n; i++ {
-			b.Set(i, i, diag[i]+j)
-		}
-		if ch, err := NewCholesky(b); err == nil {
-			return ch, j, nil
+		if c.factor(a, j) == nil {
+			return j, nil
 		}
 		j *= 10
 	}
-	return nil, 0, ErrNotPositiveDefinite
+	return 0, ErrNotPositiveDefinite
 }
 
 // SolveVec solves A x = b given the factorization, overwriting nothing.

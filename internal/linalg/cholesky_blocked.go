@@ -19,10 +19,10 @@ import (
 // fixed tree — and tiles are disjoint index ranges written by exactly one
 // ForChunk iteration (slot-write contract). The factor is therefore
 // bit-identical at any worker count. It is NOT bit-identical to the scalar
-// path (the lanes reassociate the sums to break the one-accumulator
-// dependency chain that latency-binds the scalar loop); the crossover in
-// NewCholesky depends only on n, so any given problem size always takes
-// one path.
+// path: the lanes reassociate each element's sum, whereas the scalar kernel
+// keeps one ascending accumulator per element and gets its independent
+// chains from four rows at once instead. The crossover in NewCholesky
+// depends only on n, so any given problem size always takes one path.
 const (
 	// cholTile is the panel/tile width. 64 columns of float64 is 512 bytes
 	// per row strip — two tiles of interacting rows fit comfortably in L1
@@ -36,33 +36,57 @@ const (
 	cholBlockedMin = 128
 )
 
-// newCholeskyScalar is the reference factorization for small matrices,
-// kept as the sub-crossover fast path and as the oracle the blocked-path
-// tests compare against.
-func newCholeskyScalar(a *Dense) (*Cholesky, error) {
+// cholScalarInto is the sub-crossover kernel: it writes the factor of
+// a + jitter·I into the lower triangle of l. It is the classic left-looking
+// column loop — each element L[i][j] keeps one accumulator that starts at
+// A[i][j] and subtracts L[i][k]·L[j][k] in ascending k — so the factor is
+// bit-identical to the textbook loop. What it adds is row blocking: four
+// rows below the diagonal are finished per pass over column j's prefix,
+// sharing each load of L[j][k] and running four independent subtraction
+// chains, so the pass is bound by throughput rather than by the add
+// latency of one chain.
+func cholScalarInto(l, a *Dense, jitter float64) error {
 	n := a.Rows
-	l := NewDense(n, n)
+	ld, ad := l.Data, a.Data
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		lj := l.Row(j)
-		for k := 0; k < j; k++ {
-			d -= lj[k] * lj[k]
+		lj := ld[j*n : j*n+j]
+		d := ad[j*n+j] + jitter
+		for _, v := range lj {
+			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
+			return ErrNotPositiveDefinite
 		}
 		dj := math.Sqrt(d)
-		lj[j] = dj
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			li := l.Row(i)
-			for k := 0; k < j; k++ {
-				s -= li[k] * lj[k]
+		ld[j*n+j] = dj
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			r0 := ld[i*n:][:len(lj)]
+			r1 := ld[(i+1)*n:][:len(lj)]
+			r2 := ld[(i+2)*n:][:len(lj)]
+			r3 := ld[(i+3)*n:][:len(lj)]
+			s0, s1, s2, s3 := ad[i*n+j], ad[(i+1)*n+j], ad[(i+2)*n+j], ad[(i+3)*n+j]
+			for k, v := range lj {
+				s0 -= r0[k] * v
+				s1 -= r1[k] * v
+				s2 -= r2[k] * v
+				s3 -= r3[k] * v
 			}
-			li[j] = s / dj
+			ld[i*n+j] = s0 / dj
+			ld[(i+1)*n+j] = s1 / dj
+			ld[(i+2)*n+j] = s2 / dj
+			ld[(i+3)*n+j] = s3 / dj
+		}
+		for ; i < n; i++ {
+			ri := ld[i*n:][:len(lj)]
+			s := ad[i*n+j]
+			for k, v := range lj {
+				s -= ri[k] * v
+			}
+			ld[i*n+j] = s / dj
 		}
 	}
-	return &Cholesky{L: l}, nil
+	return nil
 }
 
 // dot4 returns Σ a[k]·b[k] over [0, n) with four independent accumulator
@@ -105,19 +129,22 @@ func factorDiagTile(l *Dense, kb, ke int) error {
 	return nil
 }
 
-// newCholeskyBlocked factors a with the tiled right-looking algorithm.
-func newCholeskyBlocked(a *Dense) (*Cholesky, error) {
+// cholBlockedInto writes the factor of a + jitter·I into the lower
+// triangle of l with the tiled right-looking algorithm, working in place
+// on a copy of a's lower triangle.
+func cholBlockedInto(l, a *Dense, jitter float64) error {
 	n := a.Rows
-	l := NewDense(n, n)
 	for i := 0; i < n; i++ {
-		copy(l.Row(i)[:i+1], a.Row(i)[:i+1])
+		li := l.Row(i)
+		copy(li[:i+1], a.Row(i)[:i+1])
+		li[i] += jitter
 	}
 	// Reused trailing-tile pair list: {rowTileStart, colTileStart}.
 	var pairs [][2]int
 	for kb := 0; kb < n; kb += cholTile {
 		ke := min(kb+cholTile, n)
 		if err := factorDiagTile(l, kb, ke); err != nil {
-			return nil, err
+			return err
 		}
 		// Panel: forward-substitute every row below the diagonal tile
 		// against it. Each row is owned by one iteration.
@@ -159,5 +186,5 @@ func newCholeskyBlocked(a *Dense) (*Cholesky, error) {
 			}
 		})
 	}
-	return &Cholesky{L: l}, nil
+	return nil
 }

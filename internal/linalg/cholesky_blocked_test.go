@@ -42,11 +42,11 @@ func spdMatrix(n int) *Dense {
 func TestBlockedMatchesScalar(t *testing.T) {
 	for _, n := range []int{1, 5, 63, 64, 65, 127, 128, 129, 200, 257} {
 		a := spdMatrix(n)
-		sc, err := newCholeskyScalar(a)
+		sc, err := refCholeskyScalar(a)
 		if err != nil {
 			t.Fatalf("n=%d scalar: %v", n, err)
 		}
-		bl, err := newCholeskyBlocked(a)
+		bl, err := factorWith(cholBlockedInto, a)
 		if err != nil {
 			t.Fatalf("n=%d blocked: %v", n, err)
 		}
@@ -64,7 +64,7 @@ func TestBlockedCholeskySerialParallelEquality(t *testing.T) {
 	var ref *Cholesky
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		parallel.SetWorkers(w)
-		ch, err := newCholeskyBlocked(a)
+		ch, err := factorWith(cholBlockedInto, a)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -104,7 +104,7 @@ func TestBlockedCholeskyRejectsIndefinite(t *testing.T) {
 		a.Set(i, i, 1)
 	}
 	a.Set(n-1, n-1, -1) // indefinite in the last tile
-	if _, err := newCholeskyBlocked(a); err != ErrNotPositiveDefinite {
+	if _, err := factorWith(cholBlockedInto, a); err != ErrNotPositiveDefinite {
 		t.Fatalf("got %v, want ErrNotPositiveDefinite", err)
 	}
 }
@@ -216,24 +216,27 @@ func TestJitterRetriesCounted(t *testing.T) {
 	}
 }
 
+// BenchmarkCholeskyBlockedInternal times each kernel at the sizes
+// production sends it: the scalar kernel below the crossover (the GP fit
+// factors n ≈ 20–120 hundreds of times per refit), the blocked one above.
+// Both factor into reused storage, as a likelihood evaluator does.
 func BenchmarkCholeskyBlockedInternal(b *testing.B) {
-	for _, n := range []int{256, 512, 1024} {
+	run := func(name string, kernel func(l, a *Dense, jitter float64) error, n int) {
 		a := spdMatrix(n)
-		b.Run(fmt.Sprintf("blocked/n=%d", n), func(b *testing.B) {
+		l := NewDense(n, n)
+		b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := newCholeskyBlocked(a); err != nil {
+				if err := kernel(l, a, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("scalar/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := newCholeskyScalar(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	}
+	for _, n := range []int{20, 60, 120} {
+		run("scalar", cholScalarInto, n)
+	}
+	for _, n := range []int{256, 512, 1024} {
+		run("blocked", cholBlockedInto, n)
 	}
 }
