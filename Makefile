@@ -73,8 +73,11 @@ test-single-core:
 race-lifecycle:
 	$(GO) test -race ./internal/emews/... ./internal/scheduler/... ./internal/wal/... ./internal/aero/... ./internal/parallel/... ./internal/chaos/... ./internal/loadgen/...
 
+# The numerics determinism and bit-identity oracles under the race detector:
+# serial vs parallel, incremental vs full posterior, the pipeline's stored
+# products vs direct calls, and the one-sort weighted quantiles.
 race-numerics:
-	$(GO) test -race -run 'SerialParallel|Parallel|Incremental|MeanCache|Predictor|Concurrent' ./internal/gp/ ./internal/music/ ./internal/sobolidx/ ./internal/rt/ ./internal/core/ ./internal/linalg/
+	$(GO) test -race -run 'SerialParallel|Parallel|Incremental|MeanCache|Predictor|Concurrent|MatchDirect|MixedWindows|EstimateProduct|MatchesPerQ' ./internal/gp/ ./internal/music/ ./internal/sobolidx/ ./internal/rt/ ./internal/core/ ./internal/linalg/ ./internal/stats/
 
 # End-to-end CLI smoke: a daemon on a temp -data-dir driven through real
 # ospreyctl subcommands (exit codes + JSON shapes), plus the daemon's own

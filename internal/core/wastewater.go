@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -63,10 +65,77 @@ type WastewaterPipeline struct {
 	truth     []float64
 }
 
-// estimateOutput is the serialized product of one plant's analysis flow —
-// the stand-in for the paper's "binary R datatable objects".
-type estimateOutput struct {
+// estimateHeader is the JSON head of the estimate product: the estimate
+// without its draws, and how many packed draws follow.
+type estimateHeader struct {
 	Estimate *rt.Estimate `json:"estimate"`
+	Draws    int          `json:"draws"`
+}
+
+// encodeEstimate serializes one plant's estimate into the product of its
+// analysis flow — the stand-in for the paper's "binary R datatable objects".
+// The layout is a little-endian uint32 header length, the JSON
+// estimateHeader, then the posterior draws as packed little-endian float64,
+// row-major, one row of len(Days) values per draw.
+func encodeEstimate(est *rt.Estimate) ([]byte, error) {
+	days := len(est.Days)
+	if days == 0 && len(est.Draws) > 0 {
+		return nil, errors.New("core: encode estimate: draws without days")
+	}
+	for k, row := range est.Draws {
+		if len(row) != days {
+			return nil, fmt.Errorf("core: encode estimate: draw %d covers %d days, want %d", k, len(row), days)
+		}
+	}
+	head := *est
+	head.Draws = nil
+	hj, err := json.Marshal(estimateHeader{Estimate: &head, Draws: len(est.Draws)})
+	if err != nil {
+		return nil, fmt.Errorf("core: encode estimate: %w", err)
+	}
+	buf := make([]byte, 0, 4+len(hj)+8*days*len(est.Draws))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hj)))
+	buf = append(buf, hj...)
+	for _, row := range est.Draws {
+		for _, x := range row {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		}
+	}
+	return buf, nil
+}
+
+// decodeEstimate is encodeEstimate's inverse. Input that is truncated or
+// whose packed draws do not fill exactly the declared rows is an error.
+func decodeEstimate(data []byte) (*rt.Estimate, error) {
+	if len(data) < 4 {
+		return nil, errors.New("core: decode estimate: truncated header length")
+	}
+	n := binary.LittleEndian.Uint32(data)
+	if uint64(n) > uint64(len(data)-4) {
+		return nil, errors.New("core: decode estimate: truncated header")
+	}
+	var h estimateHeader
+	if err := json.Unmarshal(data[4:4+n], &h); err != nil {
+		return nil, fmt.Errorf("core: decode estimate: %w", err)
+	}
+	if h.Estimate == nil || h.Draws < 0 {
+		return nil, errors.New("core: decode estimate: malformed header")
+	}
+	est, packed := h.Estimate, data[4+n:]
+	days := len(est.Days)
+	rowBytes := 8 * days
+	if h.Draws > 0 && (rowBytes == 0 || h.Draws > len(packed)/rowBytes) || len(packed) != rowBytes*h.Draws {
+		return nil, fmt.Errorf("core: decode estimate: %d bytes of draws, want %d draws of %d days", len(packed), h.Draws, days)
+	}
+	flat := make([]float64, days*h.Draws)
+	for i := range flat {
+		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(packed[8*i:]))
+	}
+	est.Draws = make([][]float64, h.Draws)
+	for k := range est.Draws {
+		est.Draws[k] = flat[k*days : (k+1)*days : (k+1)*days]
+	}
+	return est, nil
 }
 
 // ensembleOutput is the aggregate flow's product.
@@ -244,13 +313,13 @@ func runGoldsteinHarness(payload []byte, plant wastewater.Plant, gopt rt.Goldste
 	for d := range est.Days {
 		fmt.Fprintf(&table, "%d,%.4f,%.4f,%.4f\n", d, est.Median[d], est.Lower[d], est.Upper[d])
 	}
-	estJSON, err := json.Marshal(estimateOutput{Estimate: est})
+	product, err := encodeEstimate(est)
 	if err != nil {
 		return nil, err
 	}
 	return aero.EncodeOutputs(map[string][]byte{
 		"table":    []byte(table.String()),
-		"estimate": estJSON,
+		"estimate": product,
 		"plot":     []byte(renderEstimatePlot(plant.Name, est)),
 	})
 }
@@ -264,11 +333,11 @@ func runEnsembleHarness(_ context.Context, payload []byte) ([]byte, error) {
 	}
 	var ests []*rt.Estimate
 	for _, in := range req.Inputs {
-		var out estimateOutput
-		if err := json.Unmarshal(in.Data, &out); err != nil {
+		est, err := decodeEstimate(in.Data)
+		if err != nil {
 			return nil, fmt.Errorf("aggregate: decode input %s: %w", in.UUID, err)
 		}
-		ests = append(ests, out.Estimate)
+		ests = append(ests, est)
 	}
 	ens, err := rt.EnsembleWeighted(ests, nil)
 	if err != nil {
@@ -354,11 +423,7 @@ func (wp *WastewaterPipeline) LatestEstimate(name string) (*rt.Estimate, error) 
 		if err != nil {
 			return nil, err
 		}
-		var out estimateOutput
-		if err := json.Unmarshal(data, &out); err != nil {
-			return nil, err
-		}
-		return out.Estimate, nil
+		return decodeEstimate(data)
 	}
 	return nil, fmt.Errorf("core: unknown plant %q", name)
 }

@@ -22,14 +22,19 @@ type EnsembleEstimate struct {
 // summarizes it with the median and 95% band. Weights default to each
 // plant's population served; pass explicit weights to override (the
 // unweighted ablation passes all-ones).
+//
+// Every estimate's window starts at day 0, but plants sample on different
+// days, so their windows can end on different days. The ensemble covers the
+// days every estimate covers: the shortest window.
 func EnsembleWeighted(estimates []*Estimate, weights []float64) (*EnsembleEstimate, error) {
 	if len(estimates) == 0 {
 		return nil, errors.New("rt: no estimates to aggregate")
 	}
 	days := len(estimates[0].Days)
+	shortest := estimates[0]
 	for _, e := range estimates {
-		if len(e.Days) != days {
-			return nil, errors.New("rt: estimates cover different windows")
+		if len(e.Days) < days {
+			days, shortest = len(e.Days), e
 		}
 		if len(e.Draws) == 0 {
 			return nil, errors.New("rt: estimate has no posterior draws")
@@ -56,7 +61,7 @@ func EnsembleWeighted(estimates []*Estimate, weights []float64) (*EnsembleEstima
 	}
 
 	out := &EnsembleEstimate{
-		Days:    append([]int(nil), estimates[0].Days...),
+		Days:    append([]int(nil), shortest.Days...),
 		Median:  make([]float64, days),
 		Lower:   make([]float64, days),
 		Upper:   make([]float64, days),
@@ -84,9 +89,8 @@ func EnsembleWeighted(estimates []*Estimate, weights []float64) (*EnsembleEstima
 					poolW = append(poolW, w)
 				}
 			}
-			out.Lower[d] = stats.WeightedQuantile(pool, poolW, 0.025)
-			out.Median[d] = stats.WeightedQuantile(pool, poolW, 0.5)
-			out.Upper[d] = stats.WeightedQuantile(pool, poolW, 0.975)
+			qs := stats.WeightedQuantiles(pool, poolW, 0.025, 0.5, 0.975)
+			out.Lower[d], out.Median[d], out.Upper[d] = qs[0], qs[1], qs[2]
 		}
 	})
 	return out, nil

@@ -2,17 +2,18 @@ package rt
 
 import (
 	"math"
-
-	"osprey/internal/stats"
 )
+
+// halfLog2Pi is the log-normal density's normalizing constant, 0.5·log 2π.
+var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
 
 // goldsteinState is the full intermediate state of one posterior evaluation:
 // the interpolated daily log-R series, its exponentials, the renewal
-// incidence, and the per-observation shedding loads and log-likelihood
+// incidence, and the per-observation log shedding loads and log-likelihood
 // terms.
 type goldsteinState struct {
 	logR, expLogR, inc []float64
-	load, term         []float64
+	logLoad, term      []float64
 }
 
 func newGoldsteinState(days, nObs int) *goldsteinState {
@@ -20,7 +21,7 @@ func newGoldsteinState(days, nObs int) *goldsteinState {
 		logR:    make([]float64, days),
 		expLogR: make([]float64, days),
 		inc:     make([]float64, days),
-		load:    make([]float64, nObs),
+		logLoad: make([]float64, nObs),
 		term:    make([]float64, nObs),
 	}
 }
@@ -41,20 +42,56 @@ func newGoldsteinState(days, nObs int) *goldsteinState {
 // in the same order, as goldsteinModel.logPosterior; everything else is
 // copied bit-for-bit from the committed point. The chain this target
 // produces is therefore bit-identical to running the plain posterior — which
-// TestGoldsteinIncrementalMatchesFull enforces.
+// TestGoldsteinIncrementalMatchesFull enforces. The log-normal observation
+// density is stats.LogNormalPDFLog expanded in place, with the logs of its
+// fixed inputs (each concentration, 2π) taken once instead of per term.
+//
+// Both convolutions (renewal and shedding) run through dotBackward over a
+// window of the incidence and a reversed kernel: walking the two slices from
+// the end visits lags in ascending order, the order logPosterior sums them
+// in, while letting the compiler drop the per-term bounds checks.
 type goldsteinTarget struct {
 	m         *goldsteinModel
+	logConc   []float64 // log of each observed concentration
+	genRev    []float64 // genRev[k] = genPMF[maxLag-k], lags maxLag..1
+	shedRev   []float64 // shedRev[k] = shedPMF[len-1-k], lags len-1..0
 	cur, prop *goldsteinState
 	committed bool
 	propOK    bool
 }
 
 func newGoldsteinTarget(m *goldsteinModel) *goldsteinTarget {
-	return &goldsteinTarget{
-		m:    m,
-		cur:  newGoldsteinState(m.days, len(m.obs)),
-		prop: newGoldsteinState(m.days, len(m.obs)),
+	logConc := make([]float64, len(m.obs))
+	for i, o := range m.obs {
+		logConc[i] = math.Log(o.Concentration)
 	}
+	return &goldsteinTarget{
+		m:       m,
+		logConc: logConc,
+		genRev:  reversed(m.genPMF[1:]),
+		shedRev: reversed(m.shedPMF),
+		cur:     newGoldsteinState(m.days, len(m.obs)),
+		prop:    newGoldsteinState(m.days, len(m.obs)),
+	}
+}
+
+func reversed(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[len(xs)-1-i] = x
+	}
+	return out
+}
+
+// dotBackward returns Σ x[j]·y[j], accumulated from the last index down to
+// the first. y must be at least as long as x.
+func dotBackward(x, y []float64) float64 {
+	y = y[:len(x)]
+	s := 0.0
+	for j := len(x) - 1; j >= 0; j-- {
+		s += x[j] * y[j]
+	}
+	return s
 }
 
 func (t *goldsteinTarget) LogDensityAt(theta []float64, changed int) float64 {
@@ -123,37 +160,39 @@ func (t *goldsteinTarget) LogDensityAt(theta []float64, changed int) float64 {
 	// Renewal recursion over the affected suffix.
 	seed := math.Exp(logSeed)
 	copy(p.inc[:incFrom], cur.inc[:incFrom])
-	maxLag := len(m.genPMF) - 1
 	for d := incFrom; d < m.days; d++ {
 		if d < m.seedDays {
 			p.inc[d] = seed
 			continue
 		}
-		lambda := 0.0
-		for lag := 1; lag <= maxLag && lag <= d; lag++ {
-			lambda += p.inc[d-lag] * m.genPMF[lag]
-		}
+		n := min(len(t.genRev), d) // lags 1..n
+		lambda := dotBackward(p.inc[d-n:d], t.genRev[len(t.genRev)-n:])
 		p.inc[d] = p.expLogR[d] * lambda
 	}
 
-	// Observation model: loads rerun only where the incidence moved, the
-	// log-normal densities additionally when sigma moved.
+	// Observation model: loads (and their logs) rerun only where the
+	// incidence moved, the log-normal densities additionally when sigma
+	// moved. A committed load is positive, so only a rerun one is checked.
+	// Concentrations are positive (EstimateGoldstein rejects any other) and
+	// so is sigma, so LogNormalPDFLog's support check never fires and is
+	// left out.
+	logSig := math.Log(sigma)
 	for oi := range m.obs {
 		o := &m.obs[oi]
 		if o.Day >= incFrom {
-			load := 0.0
-			for lag := 0; lag < len(m.shedPMF) && lag <= o.Day; lag++ {
-				load += p.inc[o.Day-lag] * m.shedPMF[lag]
+			n := min(len(t.shedRev), o.Day+1) // lags 0..n-1
+			load := dotBackward(p.inc[o.Day+1-n:o.Day+1], t.shedRev[len(t.shedRev)-n:])
+			if load <= 0 {
+				return math.Inf(-1)
 			}
-			p.load[oi] = load
+			p.logLoad[oi] = math.Log(load)
 		} else {
-			p.load[oi] = cur.load[oi]
-		}
-		if p.load[oi] <= 0 {
-			return math.Inf(-1)
+			p.logLoad[oi] = cur.logLoad[oi]
 		}
 		if o.Day >= incFrom || sigmaMoved {
-			p.term[oi] = stats.LogNormalPDFLog(o.Concentration, math.Log(p.load[oi]), sigma)
+			lx := t.logConc[oi]
+			z := (lx - p.logLoad[oi]) / sigma
+			p.term[oi] = -lx - logSig - halfLog2Pi - 0.5*z*z
 		} else {
 			p.term[oi] = cur.term[oi]
 		}

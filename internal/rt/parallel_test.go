@@ -153,3 +153,39 @@ func TestChainsSerialParallelEquality(t *testing.T) {
 		t.Fatal("serial and parallel diagnostics differ")
 	}
 }
+
+var sinkLogDensity float64
+
+// BenchmarkGoldsteinLogDensity times one incremental posterior evaluation
+// for each kind of componentwise proposal — a mid-series log-R knot, the
+// observation noise sigma, and the seed — from a committed point on a
+// 75-day window, the window size of a daily R(t) cycle. It is the
+// likelihood rung below BenchmarkFigure2GoldsteinRt.
+func BenchmarkGoldsteinLogDensity(b *testing.B) {
+	days := 75
+	s := wastewater.Generate(wastewater.ChicagoPlants()[0], wastewater.DefaultScenario(days), rng.New(11))
+	m := buildTestModel(s.Observations, days)
+	nk := len(m.knots)
+	x0 := make([]float64, m.nParams())
+	x0[nk] = math.Log(0.5)
+	x0[nk+1] = math.Log(s.Observations[0].Concentration)
+	for _, bc := range []struct {
+		name    string
+		changed int
+	}{{"knot", nk / 2}, {"sigma", nk}, {"seed", nk + 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			t := newGoldsteinTarget(m)
+			if math.IsInf(t.LogDensityAt(x0, -1), -1) {
+				b.Fatal("initial point has zero posterior density")
+			}
+			t.Commit()
+			theta := append([]float64(nil), x0...)
+			theta[bc.changed] += 0.01
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkLogDensity = t.LogDensityAt(theta, bc.changed)
+			}
+		})
+	}
+}

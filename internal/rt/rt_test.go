@@ -228,3 +228,50 @@ func TestEnsembleBandOrdering(t *testing.T) {
 		t.Fatalf("bad ensemble band width %v", bw)
 	}
 }
+
+// truncated returns e cut to its first days days, as an estimate over that
+// shorter window would index them.
+func truncated(e *Estimate, days int) *Estimate {
+	c := *e
+	c.Days = e.Days[:days]
+	c.Median, c.Lower, c.Upper = e.Median[:days], e.Lower[:days], e.Upper[:days]
+	c.Draws = make([][]float64, len(e.Draws))
+	for k, row := range e.Draws {
+		c.Draws[k] = row[:days]
+	}
+	return &c
+}
+
+// TestEnsembleMixedWindows: plants sample on different days, so their
+// windows can end on different days (71/71/69/71 in the daily pipeline).
+// The ensemble covers the shortest window, and every day it covers is
+// bit-identical to the ensemble of equal windows.
+func TestEnsembleMixedWindows(t *testing.T) {
+	ests, _ := makeEstimates(t, 70)
+	full, err := EnsembleWeighted(ests, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := append([]*Estimate(nil), ests...)
+	mixed[2] = truncated(ests[2], 68)
+	ens, err := EnsembleWeighted(mixed, nil)
+	if err != nil {
+		t.Fatalf("mixed windows rejected: %v", err)
+	}
+	if len(ens.Days) != 68 || len(ens.Median) != 68 || len(ens.Lower) != 68 || len(ens.Upper) != 68 {
+		t.Fatalf("ensemble covers %d days, want the shortest window's 68", len(ens.Days))
+	}
+	for d := range ens.Days {
+		if ens.Days[d] != full.Days[d] ||
+			math.Float64bits(ens.Median[d]) != math.Float64bits(full.Median[d]) ||
+			math.Float64bits(ens.Lower[d]) != math.Float64bits(full.Lower[d]) ||
+			math.Float64bits(ens.Upper[d]) != math.Float64bits(full.Upper[d]) {
+			t.Fatalf("day %d differs from the equal-window ensemble", d)
+		}
+	}
+	for i := range ens.Weights {
+		if ens.Weights[i] != full.Weights[i] {
+			t.Fatalf("weight %d changed: %v vs %v", i, ens.Weights[i], full.Weights[i])
+		}
+	}
+}

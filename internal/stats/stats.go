@@ -297,39 +297,56 @@ func GelmanRubin(chains [][]float64) float64 {
 // inverse of the weighted ECDF with midpoint convention. It is the
 // aggregation primitive behind the population-weighted ensemble R(t).
 func WeightedQuantile(xs, ws []float64, q float64) float64 {
+	return WeightedQuantiles(xs, ws, q)[0]
+}
+
+// WeightedQuantiles returns WeightedQuantile for each q with a single sort:
+// every q walks the same sorted permutation, so each result is the one the
+// one-q call gives.
+func WeightedQuantiles(xs, ws []float64, qs ...float64) []float64 {
 	if len(xs) != len(ws) {
 		panic("stats: WeightedQuantile length mismatch")
 	}
-	if len(xs) == 0 {
-		return math.NaN()
+	out := make([]float64, len(qs))
+	for i := range out {
+		out[i] = math.NaN()
 	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
+	if len(xs) == 0 {
+		return out
+	}
+	for _, q := range qs {
+		if q < 0 || q > 1 {
+			panic("stats: quantile out of [0,1]")
+		}
+	}
+	total := 0.0
+	for _, w := range ws {
+		if w < 0 {
+			return out
+		}
+		total += w
+	}
+	if total <= 0 {
+		return out
 	}
 	idx := make([]int, len(xs))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	total := 0.0
-	for _, w := range ws {
-		if w < 0 {
-			return math.NaN()
-		}
-		total += w
-	}
-	if total <= 0 {
-		return math.NaN()
-	}
-	target := q * total
-	cum := 0.0
-	for _, i := range idx {
-		cum += ws[i]
-		if cum >= target {
-			return xs[i]
+	for qi, q := range qs {
+		out[qi] = xs[idx[len(idx)-1]]
+		target := q * total
+		cum := 0.0
+		for _, i := range idx {
+			cum += ws[i]
+			if cum >= target {
+				out[qi] = xs[i]
+				break
+			}
 		}
 	}
-	return xs[idx[len(idx)-1]]
+	return out
 }
 
 // MAD returns the median absolute deviation of xs (a robust scale

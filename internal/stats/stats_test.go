@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -285,4 +286,93 @@ func TestMAD(t *testing.T) {
 	if MAD(xs, true) > StdDev(xs)/5 {
 		t.Fatal("MAD not robust relative to StdDev on outlier data")
 	}
+}
+
+// weightedQuantileRef is the one-q algorithm written out on its own: sort an
+// index permutation of xs, then walk it to the first cumulative weight that
+// reaches q of the total.
+func weightedQuantileRef(xs, ws []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	idx := make([]int, len(xs))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
+	total := 0.0
+	for _, w := range ws {
+		if w < 0 {
+			return math.NaN()
+		}
+		total += w
+	}
+	if total <= 0 {
+		return math.NaN()
+	}
+	cum := 0.0
+	for _, i := range idx {
+		cum += ws[i]
+		if cum >= q*total {
+			return xs[i]
+		}
+	}
+	return xs[idx[len(idx)-1]]
+}
+
+// TestWeightedQuantilesMatchesPerQ: the one-sort form returns, bit for bit,
+// what one WeightedQuantile call per q returns, and both match the one-q
+// reference — with ties, zero weights, q = 0 and q = 1, and NaN for
+// negative or all-zero weights.
+func TestWeightedQuantilesMatchesPerQ(t *testing.T) {
+	qs := []float64{0, 0.025, 0.25, 0.5, 0.975, 1}
+	perQ := func(xs, ws []float64) []float64 {
+		out := make([]float64, len(qs))
+		for i, q := range qs {
+			out[i] = WeightedQuantile(xs, ws, q)
+			if ref := weightedQuantileRef(xs, ws, q); math.Float64bits(out[i]) != math.Float64bits(ref) {
+				t.Fatalf("WeightedQuantile(q=%v) = %v, reference %v", q, out[i], ref)
+			}
+		}
+		return out
+	}
+	r := rng.New(7)
+	cases := [][2][]float64{
+		{{1, 2, 2, 2, 3, 3}, {1, 0, 2, 0.5, 0, 1}},      // ties and zero weights
+		{{5, 5, 5}, {0.2, 0.3, 0.5}},                    // all tied
+		{{4, 1, 3}, {1, -1, 1}},                         // negative weight: NaN
+		{{4, 1, 3}, {0, 0, 0}},                          // zero total: NaN
+		{{2}, {1}},                                      // one point
+		{nil, nil},                                      // empty: NaN
+		{{1, math.Inf(1), -2, 0}, {0.1, 0.2, 0.3, 0.4}}, // infinities
+	}
+	for n := 0; n < 40; n++ {
+		xs := make([]float64, 1+r.Intn(300))
+		ws := make([]float64, len(xs))
+		for i := range xs {
+			xs[i] = float64(r.Intn(50)) / 10 // heavy ties, as repeated MCMC draws give
+			if r.Intn(5) > 0 {
+				ws[i] = r.Float64()
+			}
+		}
+		cases = append(cases, [2][]float64{xs, ws})
+	}
+	for ci, c := range cases {
+		got := WeightedQuantiles(c[0], c[1], qs...)
+		want := perQ(c[0], c[1])
+		for i := range qs {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("case %d q=%v: WeightedQuantiles %v, WeightedQuantile %v", ci, qs[i], got[i], want[i])
+			}
+		}
+	}
+	if got := WeightedQuantiles([]float64{1, 2}, []float64{1, -1}, 0.5); !math.IsNaN(got[0]) {
+		t.Fatalf("negative weight gave %v, want NaN", got[0])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("q outside [0,1] accepted")
+		}
+	}()
+	WeightedQuantiles([]float64{1}, []float64{1}, 0.5, 1.5)
 }
